@@ -1,10 +1,12 @@
 // google-benchmark microbenchmarks for the controller's building blocks:
-// the MCKP DP at various sizes, full Knapsack-Merge-Reduction solves, and
-// the wire-format codecs used by the in-band control loop.
+// the MCKP DP at various sizes and through each kernel variant, full
+// Knapsack-Merge-Reduction solves, and the wire-format codecs used by the
+// in-band control loop.
 #include <benchmark/benchmark.h>
 
 #include "bench/support.h"
 #include "core/mckp.h"
+#include "core/mckp_kernel.h"
 #include "core/orchestrator.h"
 #include "net/rtcp_packets.h"
 #include "net/rtp_packet.h"
@@ -14,9 +16,7 @@ namespace {
 using namespace gso;
 using namespace gso::core;
 
-void BM_MckpDp(benchmark::State& state) {
-  const int classes = static_cast<int>(state.range(0));
-  const int items = static_cast<int>(state.range(1));
+std::vector<MckpClass> RandomMckp(int classes, int items) {
   Rng rng(1);
   std::vector<MckpClass> instance;
   for (int k = 0; k < classes; ++k) {
@@ -27,6 +27,12 @@ void BM_MckpDp(benchmark::State& state) {
     }
     instance.push_back(cls);
   }
+  return instance;
+}
+
+void BM_MckpDp(benchmark::State& state) {
+  const auto instance = RandomMckp(static_cast<int>(state.range(0)),
+                                   static_cast<int>(state.range(1)));
   DpMckpSolver solver;
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.Solve(instance, 5'000'000));
@@ -38,6 +44,28 @@ BENCHMARK(BM_MckpDp)
     ->Args({10, 18})
     ->Args({20, 18})
     ->Args({50, 18});
+
+// One 20-class x 18-item knapsack per iteration on a reused workspace,
+// through the kernel variant at index arg of mckp_kernel::Variants().
+void BM_MckpKernel(benchmark::State& state) {
+  const auto variants = mckp_kernel::Variants();
+  const auto index = static_cast<size_t>(state.range(0));
+  if (index >= variants.size() || !variants[index].supported) {
+    state.SkipWithError("variant not built or not supported by this CPU");
+    return;
+  }
+  state.SetLabel(variants[index].name);
+  const auto instance = RandomMckp(20, 18);
+  MckpWorkspace workspace;
+  MckpResult result;
+  for (auto _ : state) {
+    mckp_kernel::SolveDp(instance, 5'000'000, 1.0, 1 << 16,
+                         variants[index].pass, &workspace, &result);
+    benchmark::DoNotOptimize(result.choice.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MckpKernel)->DenseRange(0, 2);
 
 void BM_OrchestratorMesh(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,15 +1,24 @@
 #include "core/mckp.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
+#include "core/mckp_kernel.h"
 
 namespace gso::core {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-constexpr int64_t kInfWeight = std::numeric_limits<int64_t>::max() / 2;
+
+// An item can be picked only with a finite non-negative value (a NaN or
+// infinite priority would otherwise quantize out of range) and a weight
+// within capacity.
+bool Eligible(const MckpItem& item, int64_t capacity) {
+  return item.weight >= 0 && item.weight <= capacity &&
+         std::isfinite(item.value) && item.value >= 0;
+}
 
 }  // namespace
 
@@ -27,39 +36,40 @@ MckpResult DpMckpSolver::Solve(const std::vector<MckpClass>& classes,
   return result;
 }
 
-void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
+void DpMckpSolver::Solve(const MckpClass* classes, size_t num_classes,
                          int64_t capacity, MckpWorkspace* ws,
-                         MckpResult* result_ptr) const {
-  // A thin span view keeps the original body unchanged below.
-  struct ClassSpan {
-    const MckpClass* data;
-    size_t count;
-    const MckpClass* begin() const { return data; }
-    const MckpClass* end() const { return data + count; }
-    size_t size() const { return count; }
-    bool empty() const { return count == 0; }
-    const MckpClass& operator[](size_t i) const { return data[i]; }
-  };
-  const ClassSpan classes{classes_ptr, num_classes};
+                         MckpResult* result) const {
+  mckp_kernel::SolveDp({classes, num_classes}, capacity, value_quantum_,
+                       max_cells_, mckp_kernel::Dispatched(), ws, result);
+}
+
+namespace mckp_kernel {
+
+void SolveDp(std::span<const MckpClass> classes, int64_t capacity,
+             double value_quantum, int64_t max_cells, ItemPass pass,
+             MckpWorkspace* ws, MckpResult* result_ptr) {
   MckpResult& result = *result_ptr;
   result.choice.assign(classes.size(), -1);  // reuses capacity when warm
   result.total_value = 0.0;
   result.total_weight = 0;
   result.feasible = true;
   if (classes.empty()) return;
+  capacity = std::min(capacity, kMaxCapacity);
 
   // Value grid: each item's value is floored to multiples of `quantum`.
   double value_sum = 0.0;
   size_t total_items = 0;
   for (const auto& cls : classes) {
     double best = 0.0;
-    for (const auto& item : cls.items) best = std::max(best, item.value);
+    for (const auto& item : cls.items) {
+      if (std::isfinite(item.value)) best = std::max(best, item.value);
+    }
     value_sum += best;
     total_items += cls.items.size();
   }
-  double quantum = value_quantum_;
-  if (value_sum / quantum > static_cast<double>(max_cells_)) {
-    quantum = value_sum / static_cast<double>(max_cells_);
+  double quantum = value_quantum;
+  if (value_sum / quantum > static_cast<double>(max_cells)) {
+    quantum = value_sum / static_cast<double>(max_cells);
   }
   const int64_t cells =
       std::max<int64_t>(1, static_cast<int64_t>(value_sum / quantum));
@@ -81,9 +91,9 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
     ws->choices.resize(classes.size() * width);
   }
 
-  // Quantize every item value exactly once. The forward pass and the
-  // backtrack both read this table, so an item can never shift grid cells
-  // between the two phases.
+  // Quantize every eligible item value exactly once. The forward pass and
+  // the backtrack both read this table, so an item can never shift grid
+  // cells between the two phases.
   if (ws->vq.size() < total_items) ws->vq.resize(total_items);
   ws->vq_offset.assign(classes.size() + 1, 0);
   if (ws->keep.size() < total_items) ws->keep.resize(total_items);
@@ -92,7 +102,9 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
     for (size_t k = 0; k < classes.size(); ++k) {
       ws->vq_offset[k] = offset;
       for (const auto& item : classes[k].items) {
-        ws->vq[offset++] = static_cast<int64_t>(item.value / quantum);
+        ws->vq[offset++] = Eligible(item, capacity)
+                               ? static_cast<int64_t>(item.value / quantum)
+                               : 0;
       }
     }
     ws->vq_offset[classes.size()] = offset;
@@ -121,12 +133,10 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
     auto& order = ws->order;
     order.clear();
     for (size_t j = 0; j < cls.items.size(); ++j) {
-      const auto& item = cls.items[j];
       keep[j] = 0;
-      if (item.weight < 0 || item.weight > capacity || item.value < 0) {
-        continue;  // same eligibility filter as the DP loop below
+      if (Eligible(cls.items[j], capacity)) {
+        order.push_back(static_cast<int16_t>(j));
       }
-      order.push_back(static_cast<int16_t>(j));
     }
     std::sort(order.begin(), order.end(), [&](int16_t a, int16_t b) {
       if (vq[a] != vq[b]) return vq[a] > vq[b];
@@ -168,25 +178,19 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
     int16_t* row = ws->choices.data() + k * width;
     std::fill(row, row + row_end + 1, static_cast<int16_t>(-1));
 
-    int64_t reach_new = cls.mandatory ? -1 : reach;
+    // Items in index order, each over every cell it can reach; unreachable
+    // bases hold kInfWeight, so their candidates fail the capacity test.
     for (size_t j = 0; j < cls.items.size(); ++j) {
       if (!keep[j]) continue;
-      const int64_t weight = cls.items[j].weight;
-      const int64_t item_vq = vq[j];
-      for (int64_t v = row_end; v >= item_vq; --v) {
-        const int64_t base = dp[static_cast<size_t>(v - item_vq)];
-        if (base >= kInfWeight) continue;
-        const int64_t cand = base + weight;
-        if (cand <= capacity && cand < next[static_cast<size_t>(v)]) {
-          next[static_cast<size_t>(v)] = cand;
-          row[v] = static_cast<int16_t>(j);
-          if (v > reach_new) reach_new = v;
-        }
-      }
+      pass(dp.data(), next.data() + vq[j], row + vq[j], row_end - vq[j] + 1,
+           cls.items[j].weight, capacity, static_cast<int16_t>(j));
     }
     dp.swap(next);
     std::swap(wm_dp, wm_next);
-    reach = reach_new;
+    reach = row_end;
+    while (reach >= 0 && dp[static_cast<size_t>(reach)] >= kInfWeight) {
+      --reach;
+    }
     if (reach < 0) {
       // A mandatory class admits no feasible item: every later pass would
       // stay unreachable, so the reference loop also ends up infeasible.
@@ -221,8 +225,9 @@ void DpMckpSolver::Solve(const MckpClass* classes_ptr, size_t num_classes,
       GSO_CHECK_GE(v, 0);
     }
   }
-  return;
 }
+
+}  // namespace mckp_kernel
 
 MckpResult ExhaustiveMckpSolver::Solve(const std::vector<MckpClass>& classes,
                                        int64_t capacity) const {

@@ -93,6 +93,13 @@ class MckpSolver {
 // is identical to solving the unpruned instance; the DP inner loops just
 // run over strictly fewer items. Each class pass is further bounded by the
 // highest reachable value so far, which skips provably unreachable cells.
+//
+// Each kept item's pass over the value grid is branchless and has no
+// dependency between cells, so it vectorizes. It is built for x86-64-v4,
+// AVX2 and the baseline ISA, and the variant is picked once at runtime from
+// the CPU (core/mckp_kernel.h); every variant returns the same bits.
+// Capacities above INT64_MAX / 4 are clamped to it, and an item whose value
+// is negative, NaN or infinite is never picked.
 class DpMckpSolver : public MckpSolver {
  public:
   explicit DpMckpSolver(double value_quantum = 1.0,

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 
 namespace gso::core {
@@ -227,6 +229,61 @@ TEST(Mckp, WorkspaceShrinksAndGrowsAcrossSolves) {
     EXPECT_EQ(reused.total_value, fresh.total_value) << "round " << round;
     EXPECT_EQ(reused.total_weight, fresh.total_weight) << "round " << round;
   }
+}
+
+TEST(Mckp, UnboundedCapacityWithHugeWeightsMatchesExhaustive) {
+  // Capacities are clamped to INT64_MAX / 4 on entry, so adding an item's
+  // weight to an unreachable cell's marker cannot overflow. Items up to
+  // that clamp stay eligible; heavier ones are never picked. Against the
+  // exhaustive optimum at the clamp, an INT64_MAX capacity gives the same
+  // value, and the same choices as solving at the clamp itself.
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kClamp = kMax / 4;
+  Rng rng(13);
+  DpMckpSolver dp;
+  ExhaustiveMckpSolver ex;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<MckpClass> classes;
+    const int n_classes = static_cast<int>(rng.UniformInt(1, 4));
+    for (int k = 0; k < n_classes; ++k) {
+      MckpClass cls;
+      cls.mandatory = rng.Bernoulli(0.1);
+      const int n_items = static_cast<int>(rng.UniformInt(1, 5));
+      for (int j = 0; j < n_items; ++j) {
+        const int64_t weight = rng.Bernoulli(0.2)
+                                   ? rng.UniformInt(kClamp + 1, kMax / 2)
+                                   : rng.UniformInt(0, kClamp / 4);
+        cls.items.push_back(
+            MckpItem{weight, static_cast<double>(rng.UniformInt(0, 1000))});
+      }
+      classes.push_back(cls);
+    }
+    const auto unbounded = dp.Solve(classes, kMax);
+    const auto clamped = dp.Solve(classes, kClamp);
+    const auto exact = ex.Solve(classes, kClamp);
+    ASSERT_EQ(unbounded.feasible, exact.feasible) << "trial " << trial;
+    EXPECT_EQ(unbounded.choice, clamped.choice) << "trial " << trial;
+    if (!unbounded.feasible) continue;
+    EXPECT_LE(unbounded.total_weight, kClamp) << "trial " << trial;
+    // Integral values on the unit grid: the DP is exact.
+    EXPECT_EQ(unbounded.total_value, exact.total_value) << "trial " << trial;
+  }
+}
+
+TEST(Mckp, NonFiniteValuesAreNeverPicked) {
+  DpMckpSolver dp;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto r = dp.Solve({MakeClass({{100, kNaN}, {200, 5}}),
+                           MakeClass({{100, kInf}, {100, -kInf}}),
+                           MakeClass({{50, 7}})},
+                          1'000);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_EQ(r.choice, (std::vector<int>{1, -1, 0}));
+  EXPECT_EQ(r.total_value, 12);
+  // A mandatory class with only non-finite values cannot be satisfied.
+  EXPECT_FALSE(dp.Solve({MakeClass({{100, kNaN}}, /*mandatory=*/true)}, 1'000)
+                   .feasible);
 }
 
 TEST(Mckp, ExhaustiveCountsVisits) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/mckp.h"
+#include "core/mckp_kernel.h"
 #include "core/orchestrator.h"
 #include "solution_testutil.h"
 #include "core/types.h"
@@ -466,6 +468,95 @@ TEST(OrchestratorEquivalence, DpMatchesReferenceUnderCoarseQuantization) {
     EXPECT_EQ(a.total_value, b.total_value) << "trial " << trial;
     EXPECT_EQ(a.total_weight, b.total_weight) << "trial " << trial;
   }
+}
+
+// Every kernel variant this host can run reproduces the seed DP exactly.
+// The instances cover mandatory classes, zero and unbounded capacity, a
+// coarse value grid (small max_cells), items whose value quantizes to cell
+// 0, equal and zero weights (tie-breaks), and tables much wider than one
+// vector; each variant is also checked
+// cell by cell against the scalar definition of one item pass, across
+// every tail length up to a few vectors.
+TEST(OrchestratorEquivalence, EveryKernelVariantMatchesReference) {
+  constexpr int64_t kInf = mckp_kernel::kInfWeight;
+  int variants_run = 0;
+  for (const mckp_kernel::Variant& variant : mckp_kernel::Variants()) {
+    if (!variant.supported) {
+      std::printf("kernel variant %s: not supported by this CPU\n",
+                  variant.name);
+      continue;
+    }
+    ++variants_run;
+    SCOPED_TRACE(variant.name);
+
+    Rng rng(31);
+    for (int64_t n = 0; n <= 80; ++n) {
+      std::vector<int64_t> dp(static_cast<size_t>(n));
+      std::vector<int64_t> next(dp.size());
+      std::vector<int16_t> row(dp.size());
+      for (size_t v = 0; v < dp.size(); ++v) {
+        dp[v] = rng.Bernoulli(0.3) ? kInf : rng.UniformInt(0, 2'000);
+        next[v] = rng.Bernoulli(0.3) ? kInf : rng.UniformInt(0, 3'000);
+        row[v] = static_cast<int16_t>(rng.UniformInt(-1, 5));
+      }
+      const int64_t weight = rng.UniformInt(0, 1'000);
+      const int64_t capacity = rng.UniformInt(0, 3'000);
+      auto want_next = next;
+      auto want_row = row;
+      for (size_t v = 0; v < dp.size(); ++v) {
+        const int64_t cand = dp[v] + weight;
+        if (cand <= capacity && cand < want_next[v]) {
+          want_next[v] = cand;
+          want_row[v] = 9;
+        }
+      }
+      variant.pass(dp.data(), next.data(), row.data(), n, weight, capacity,
+                   9);
+      ASSERT_EQ(next, want_next) << "n " << n;
+      ASSERT_EQ(row, want_row) << "n " << n;
+    }
+
+    MckpWorkspace workspace;
+    MckpResult a;
+    for (int trial = 0; trial < 800; ++trial) {
+      const int64_t max_cells = trial % 4 == 0 ? 24 : 1 << 16;
+      std::vector<MckpClass> classes;
+      const int n_classes = static_cast<int>(rng.UniformInt(1, 7));
+      for (int k = 0; k < n_classes; ++k) {
+        MckpClass cls;
+        cls.mandatory = rng.Bernoulli(0.15);
+        const int n_items = static_cast<int>(rng.UniformInt(1, 10));
+        for (int j = 0; j < n_items; ++j) {
+          int64_t weight = rng.UniformInt(0, 3'000'000);
+          // Equal and zero weights exercise the first-minimum tie-break.
+          if (rng.Bernoulli(0.2)) weight = 100'000 * rng.UniformInt(0, 3);
+          double value = rng.Uniform(0, 1500);
+          if (rng.Bernoulli(0.1)) value = rng.Uniform(0, 1);  // cell 0
+          if (rng.Bernoulli(0.3)) value = std::floor(value);  // grid-aligned
+          cls.items.push_back(MckpItem{weight, value});
+        }
+        classes.push_back(cls);
+      }
+      int64_t capacity = rng.UniformInt(0, 5'000'000);
+      if (trial % 5 == 1) capacity = 0;
+      // Unbounded: the solver clamps INT64_MAX to kMaxCapacity, the value
+      // the orchestrator passes for an unbounded downlink. The reference
+      // is only defined below its own unreachable marker, so it gets the
+      // clamped value.
+      if (trial % 5 == 2) capacity = mckp_kernel::kMaxCapacity;
+      mckp_kernel::SolveDp(
+          classes,
+          trial % 5 == 2 ? std::numeric_limits<int64_t>::max() : capacity,
+          1.0, max_cells, variant.pass, &workspace, &a);
+      const MckpResult b =
+          reference::RefDpSolver(1.0, max_cells).Solve(classes, capacity);
+      ASSERT_EQ(a.feasible, b.feasible) << "trial " << trial;
+      ASSERT_EQ(a.choice, b.choice) << "trial " << trial;
+      EXPECT_EQ(a.total_value, b.total_value) << "trial " << trial;
+      EXPECT_EQ(a.total_weight, b.total_weight) << "trial " << trial;
+    }
+  }
+  EXPECT_GE(variants_run, 1);
 }
 
 // Pruning must never change whether the DP agrees with the exhaustive

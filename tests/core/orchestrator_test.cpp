@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "bench/support.h"
 #include "core/brute_force.h"
 #include "core/mckp.h"
 #include "core/types.h"
@@ -355,6 +359,21 @@ TEST(Orchestrator, BruteForceMatchesDpOnSmallMeshes) {
     EXPECT_LE(s_dp.total_qoe, s_bf.total_qoe + 1e-9) << "seed " << seed;
     EXPECT_GE(s_dp.total_qoe, 0.95 * s_bf.total_qoe) << "seed " << seed;
   }
+}
+
+TEST(Orchestrator, NonFinitePrioritiesAreNeverPicked) {
+  // A NaN or infinite priority gives every option of that subscription a
+  // non-finite knapsack value; the DP treats such items as ineligible
+  // instead of quantizing them out of the value grid.
+  auto problem = bench::MeshProblem(4, 4, 5, 42);
+  problem.subscriptions[0].priority = std::numeric_limits<double>::quiet_NaN();
+  problem.subscriptions[1].priority = std::numeric_limits<double>::infinity();
+  DpMckpSolver dp;
+  Orchestrator gso(&dp);
+  const Solution& s = gso.Solve(SolveRequest::Cold(problem));
+  EXPECT_EQ(ValidateSolution(problem, s), "");
+  EXPECT_TRUE(std::isfinite(s.total_qoe));
+  EXPECT_GT(s.total_qoe, 0.0);
 }
 
 }  // namespace
